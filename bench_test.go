@@ -8,12 +8,14 @@ package meshplace_test
 //     the "giant" metric.
 //   - BenchmarkFig4 runs the §5.2.2 neighborhood-search comparison and
 //     reports both movements' final giants.
-//   - BenchmarkAblation* quantify the design decisions documented in
-//     DESIGN.md §3 and §5.
+//   - BenchmarkAblation* each measure one modelling or operator choice the
+//     defaults make (link model, pattern noise, fitness weights, GA
+//     operators, swap virtual slots, spatial index) against its
+//     alternative; each benchmark's doc comment names the choice.
 //
 // The benches default to the Quick configuration so `go test -bench=.`
 // terminates in minutes; set -paperscale to run the full 800-generation
-// configuration used for EXPERIMENTS.md.
+// configuration of the paper's §5.2 experiments.
 
 import (
 	"flag"
@@ -122,7 +124,7 @@ func BenchmarkFig4(b *testing.B) {
 	b.ReportMetric(float64(random), "random-giant")
 }
 
-// --- Ablations (DESIGN.md §5) -----------------------------------------------
+// --- Ablations ---------------------------------------------------------------
 
 func benchInstance(b *testing.B) *wmn.Instance {
 	b.Helper()
@@ -241,8 +243,8 @@ func weightName(w wmn.Weights) string {
 	}
 }
 
-// BenchmarkAblationGAOperators compares the GA operator choices (DESIGN.md
-// §3): the default tournament/uniform/gaussian against roulette selection,
+// BenchmarkAblationGAOperators compares the GA operator choices: the
+// default tournament/uniform/gaussian against roulette selection,
 // one-point and region crossover, and reset mutation. Reset mutation is the
 // configuration that washes out the initializer differences.
 func BenchmarkAblationGAOperators(b *testing.B) {
@@ -289,7 +291,8 @@ func BenchmarkAblationGAOperators(b *testing.B) {
 
 // BenchmarkAblationSwapVirtualSlot compares the faithful Algorithm 3 swap
 // (position exchange only) against the virtual-slot generalization used by
-// the Figure 4 experiment (DESIGN.md §3).
+// the Figure 4 experiment; localsearch.SwapMovement's doc comment gives the
+// reason for the generalization.
 func BenchmarkAblationSwapVirtualSlot(b *testing.B) {
 	in := benchInstance(b)
 	eval, err := wmn.NewEvaluator(in, wmn.EvalOptions{})

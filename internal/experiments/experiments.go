@@ -127,7 +127,7 @@ func StudyIDs() []StudyID {
 // DistributionFor returns the client distribution each study uses on the
 // 128×128 benchmark area. Table 1's caption fixes Normal(μ=64, σ=128/10);
 // the Exponential and Weibull parameters are not reported by the paper and
-// are calibrated to produce comparable hotspot layouts (see EXPERIMENTS.md).
+// are calibrated to produce comparable hotspot layouts.
 func DistributionFor(id StudyID) (dist.Spec, error) {
 	switch id {
 	case StudyNormal:

@@ -11,8 +11,8 @@ import (
 // "shape" predicates. A reproduction is judged on these shapes — method
 // orderings and improvement directions — rather than on matching the
 // absolute table entries, because the substrate (from-scratch simulator,
-// unreported parameters) differs from the authors'. EXPERIMENTS.md records
-// the full paper-vs-measured comparison.
+// unreported parameters) differs from the authors'. The measured numbers
+// themselves are regenerated by `wmnplace paper` (README, "Results").
 
 // CheckTableShape verifies the study against the claims the paper makes
 // about its tables and GA-evolution figures (§5.2.1) and returns one
@@ -29,7 +29,7 @@ import (
 //     (below 75% of the fleet) — §5.2.1's premise that ad hoc methods alone
 //     are weak. HotSpot is exempt: in this substrate its stand-alone
 //     placement on compact client clusters is already well connected, a
-//     documented divergence from the paper's tables (EXPERIMENTS.md).
+//     divergence from the paper's tables that this exemption records.
 //  5. The distribution-specific "performed poorly" statements of §5.2.1:
 //     Normal — ColLeft and Corners in the bottom three; Exponential —
 //     Corners and Random in the bottom three; Weibull — Corners last.

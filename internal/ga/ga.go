@@ -156,8 +156,10 @@ type Config struct {
 	Stop func(evals int, best wmn.Metrics) bool
 }
 
-// DefaultConfig returns the experiment configuration described in
-// DESIGN.md §3.
+// DefaultConfig returns the configuration the paper-scale experiments run:
+// population 64, 800 generations, tournament selection (k=3), uniform
+// crossover at rate 0.8, Gaussian mutation (rate 0.005, sigma 1) and two
+// elites.
 func DefaultConfig() Config { return Config{}.withDefaults() }
 
 func (c Config) withDefaults() Config {

@@ -1,6 +1,7 @@
 package localsearch
 
 import (
+	"math"
 	"testing"
 
 	"meshplace/internal/rng"
@@ -115,6 +116,10 @@ func TestAnnealConfigValidateTable(t *testing.T) {
 		{name: "negative StartTemp", cfg: AnnealConfig{Movement: PerturbMovement{}, StartTemp: -0.1, EndTemp: 0.001}, wantErr: true},
 		{name: "inverted temperatures", cfg: AnnealConfig{Movement: PerturbMovement{}, StartTemp: 0.001, EndTemp: 0.1}, wantErr: true},
 		{name: "negative TraceEvery", cfg: AnnealConfig{Movement: PerturbMovement{}, TraceEvery: -8}, wantErr: true},
+		{name: "NaN StartTemp", cfg: AnnealConfig{Movement: PerturbMovement{}, StartTemp: math.NaN(), EndTemp: 0.001}, wantErr: true},
+		{name: "NaN EndTemp", cfg: AnnealConfig{Movement: PerturbMovement{}, StartTemp: 0.1, EndTemp: math.NaN()}, wantErr: true},
+		{name: "infinite StartTemp", cfg: AnnealConfig{Movement: PerturbMovement{}, StartTemp: math.Inf(1), EndTemp: 0.001}, wantErr: true},
+		{name: "infinite both temperatures", cfg: AnnealConfig{Movement: PerturbMovement{}, StartTemp: math.Inf(1), EndTemp: math.Inf(1)}, wantErr: true},
 		{name: "fully specified", cfg: AnnealConfig{Movement: PerturbMovement{}, Steps: 32, StartTemp: 0.1, EndTemp: 0.01, TraceEvery: 4}},
 	}
 	for _, tt := range tests {

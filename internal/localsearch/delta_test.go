@@ -25,6 +25,18 @@ func (f *flakyMovement) Propose(in *wmn.Instance, sol, dst wmn.Solution, r *rng.
 	return f.inner.Propose(in, sol, dst, r)
 }
 
+// changedRouters is the reference positions diff the delta paths are
+// checked against.
+func changedRouters(a, b wmn.Solution) []int {
+	var out []int
+	for i := range a.Positions {
+		if a.Positions[i] != b.Positions[i] {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
 // TestProposeDeltaMatchesPropose pins the DeltaMovement contract for every
 // movement in the package: same random draws, same neighbor, and a changed
 // set identical to the full positions diff.

@@ -67,60 +67,27 @@ func HillClimb(eval *wmn.Evaluator, initial wmn.Solution, cfg HillClimbConfig, r
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	if err := initial.Validate(eval.Instance()); err != nil {
-		return Result{}, fmt.Errorf("localsearch: initial solution: %w", err)
-	}
-
-	cur := initial.Clone()
-	inc, err := wmn.NewIncrementalEvaluator(eval, cur)
-	if err != nil {
-		return Result{}, fmt.Errorf("localsearch: %w", err)
-	}
-	curMetrics := inc.Metrics()
-	res := Result{Best: cur.Clone(), BestMetrics: curMetrics}
-	scratch := wmn.NewSolution(len(cur.Positions))
-	var changed []int
-
 	noImprove := 0
-	for step := 1; step <= cfg.MaxSteps && noImprove < cfg.MaxNoImprove; step++ {
-		// Every executed step counts toward Phases and the trace — also
-		// the ones whose movement failed to propose — matching the
-		// accounting of Search and Anneal.
-		proposed, accepted := false, false
-		var ok bool
-		if changed, ok = ProposeChanged(cfg.Movement, eval.Instance(), cur, scratch, r, changed); ok {
-			proposed = true
-			m := inc.Apply(changed, scratch)
-			res.Evaluations++
-			if m.Fitness > curMetrics.Fitness {
-				copy(cur.Positions, scratch.Positions)
-				curMetrics = m
-				accepted = true
+	return walk{
+		movement:  cfg.Movement,
+		steps:     cfg.MaxSteps,
+		neighbors: 1,
+		every:     1,
+		accept:    improves,
+		// A step whose movement failed to propose counts toward
+		// MaxNoImprove like a rejected one.
+		endStep: func(accepted bool) bool {
+			if accepted {
 				noImprove = 0
-				if m.Fitness > res.BestMetrics.Fitness {
-					res.Best = cur.Clone()
-					res.BestMetrics = m
-				}
 			} else {
-				inc.Revert()
 				noImprove++
 			}
-		} else {
-			noImprove++
-		}
-		res.Phases = step
-		rec := PhaseRecord{Phase: step, Metrics: curMetrics, Accepted: accepted, Proposed: proposed}
-		if cfg.RecordTrace {
-			res.Trace = append(res.Trace, rec)
-		}
-		if cfg.OnPhase != nil {
-			cfg.OnPhase(rec)
-		}
-		if cfg.Stop != nil && cfg.Stop(res.Evaluations, res.BestMetrics) {
-			break
-		}
-	}
-	return res, nil
+			return noImprove >= cfg.MaxNoImprove
+		},
+		recordTrace: cfg.RecordTrace,
+		onPhase:     cfg.OnPhase,
+		stop:        cfg.Stop,
+	}.run(eval, initial, r)
 }
 
 // AnnealConfig drives Anneal.
@@ -169,7 +136,9 @@ func (c AnnealConfig) Validate() error {
 	if c.Steps < 1 {
 		return fmt.Errorf("localsearch: Steps %d < 1", c.Steps)
 	}
-	if c.StartTemp <= 0 || c.EndTemp <= 0 || c.EndTemp > c.StartTemp {
+	// Stated as what must hold, so a NaN temperature fails it; the +Inf
+	// check on StartTemp bounds EndTemp too.
+	if !(c.EndTemp > 0 && c.EndTemp <= c.StartTemp) || math.IsInf(c.StartTemp, 1) {
 		return fmt.Errorf("localsearch: invalid temperature range [%g,%g]", c.EndTemp, c.StartTemp)
 	}
 	if c.TraceEvery < 1 {
@@ -186,61 +155,26 @@ func Anneal(eval *wmn.Evaluator, initial wmn.Solution, cfg AnnealConfig, r *rng.
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	if err := initial.Validate(eval.Instance()); err != nil {
-		return Result{}, fmt.Errorf("localsearch: initial solution: %w", err)
-	}
-
-	cur := initial.Clone()
-	inc, err := wmn.NewIncrementalEvaluator(eval, cur)
-	if err != nil {
-		return Result{}, fmt.Errorf("localsearch: %w", err)
-	}
-	curMetrics := inc.Metrics()
-	res := Result{Best: cur.Clone(), BestMetrics: curMetrics}
-	scratch := wmn.NewSolution(len(cur.Positions))
-	var changed []int
-
 	cooling := math.Pow(cfg.EndTemp/cfg.StartTemp, 1/float64(cfg.Steps))
 	temp := cfg.StartTemp
-	for step := 1; step <= cfg.Steps; step++ {
-		// Trace records carry what actually happened in the step: whether
-		// a neighbor was proposed at all, and whether the Metropolis test
-		// accepted it.
-		proposed, accepted := false, false
-		var ok bool
-		if changed, ok = ProposeChanged(cfg.Movement, eval.Instance(), cur, scratch, r, changed); ok {
-			proposed = true
-			m := inc.Apply(changed, scratch)
-			res.Evaluations++
-			delta := m.Fitness - curMetrics.Fitness
-			if delta >= 0 || r.Float64() < math.Exp(delta/temp) {
-				copy(cur.Positions, scratch.Positions)
-				curMetrics = m
-				accepted = true
-				if m.Fitness > res.BestMetrics.Fitness {
-					res.Best = cur.Clone()
-					res.BestMetrics = m
-				}
-			} else {
-				inc.Revert()
-			}
-		}
-		temp *= cooling
-		res.Phases = step
-		if step%cfg.TraceEvery == 0 {
-			rec := PhaseRecord{Phase: step, Metrics: curMetrics, Accepted: accepted, Proposed: proposed}
-			if cfg.RecordTrace {
-				res.Trace = append(res.Trace, rec)
-			}
-			if cfg.OnPhase != nil {
-				cfg.OnPhase(rec)
-			}
-		}
-		if cfg.Stop != nil && cfg.Stop(res.Evaluations, res.BestMetrics) {
-			break
-		}
-	}
-	return res, nil
+	return walk{
+		movement:  cfg.Movement,
+		steps:     cfg.Steps,
+		neighbors: 1,
+		every:     cfg.TraceEvery,
+		// The Metropolis test draws from r only for a worsening neighbor.
+		accept: func(_ []int, m, cur wmn.Metrics, _ int) bool {
+			delta := m.Fitness - cur.Fitness
+			return delta >= 0 || r.Float64() < math.Exp(delta/temp)
+		},
+		endStep: func(bool) bool {
+			temp *= cooling
+			return false
+		},
+		recordTrace: cfg.RecordTrace,
+		onPhase:     cfg.OnPhase,
+		stop:        cfg.Stop,
+	}.run(eval, initial, r)
 }
 
 // TabuConfig drives Tabu.
@@ -303,85 +237,28 @@ func Tabu(eval *wmn.Evaluator, initial wmn.Solution, cfg TabuConfig, r *rng.Rand
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	if err := initial.Validate(eval.Instance()); err != nil {
-		return Result{}, fmt.Errorf("localsearch: initial solution: %w", err)
-	}
-
-	cur := initial.Clone()
-	inc, err := wmn.NewIncrementalEvaluator(eval, cur)
-	if err != nil {
-		return Result{}, fmt.Errorf("localsearch: %w", err)
-	}
-	curMetrics := inc.Metrics()
-	res := Result{Best: cur.Clone(), BestMetrics: curMetrics}
-
-	n := len(cur.Positions)
-	tabuUntil := make([]int, n)
-	scratch := wmn.NewSolution(n)
-	bestNeighbor := wmn.NewSolution(n)
-	var changed, foundChanged []int
-
-	for phase := 1; phase <= cfg.MaxPhases; phase++ {
-		found, proposed := false, false
-		var foundMetrics wmn.Metrics
-		for k := 0; k < cfg.NeighborsPerPhase; k++ {
-			var ok bool
-			changed, ok = ProposeChanged(cfg.Movement, eval.Instance(), cur, scratch, r, changed)
-			if !ok {
-				continue
+	tabuUntil := make([]int, len(initial.Positions))
+	return walk{
+		movement:  cfg.Movement,
+		steps:     cfg.MaxPhases,
+		neighbors: cfg.NeighborsPerPhase,
+		every:     1,
+		skipEmpty: true,
+		admit: func(changed []int, m, best wmn.Metrics, step int) bool {
+			return !(isTabu(changed, tabuUntil, step) && m.Fitness <= best.Fitness)
+		},
+		// The best admitted neighbor is taken even when it is worse; the
+		// routers it moves become tabu.
+		accept: func(changed []int, _, _ wmn.Metrics, step int) bool {
+			for _, i := range changed {
+				tabuUntil[i] = step + cfg.Tenure
 			}
-			proposed = true
-			if len(changed) == 0 {
-				continue
-			}
-			m := inc.Apply(changed, scratch)
-			inc.Revert()
-			res.Evaluations++
-			if isTabu(changed, tabuUntil, phase) && m.Fitness <= res.BestMetrics.Fitness {
-				continue // tabu and not aspirational
-			}
-			if !found || m.Fitness > foundMetrics.Fitness {
-				found = true
-				foundMetrics = m
-				foundChanged = append(foundChanged[:0], changed...)
-				copy(bestNeighbor.Positions, scratch.Positions)
-			}
-		}
-		if found {
-			inc.Apply(foundChanged, bestNeighbor)
-			copy(cur.Positions, bestNeighbor.Positions)
-			curMetrics = foundMetrics
-			for _, i := range foundChanged {
-				tabuUntil[i] = phase + cfg.Tenure
-			}
-			if curMetrics.Fitness > res.BestMetrics.Fitness {
-				res.Best = cur.Clone()
-				res.BestMetrics = curMetrics
-			}
-		}
-		res.Phases = phase
-		rec := PhaseRecord{Phase: phase, Metrics: curMetrics, Accepted: found, Proposed: proposed}
-		if cfg.RecordTrace {
-			res.Trace = append(res.Trace, rec)
-		}
-		if cfg.OnPhase != nil {
-			cfg.OnPhase(rec)
-		}
-		if cfg.Stop != nil && cfg.Stop(res.Evaluations, res.BestMetrics) {
-			break
-		}
-	}
-	return res, nil
-}
-
-func changedRouters(a, b wmn.Solution) []int {
-	var out []int
-	for i := range a.Positions {
-		if a.Positions[i] != b.Positions[i] {
-			out = append(out, i)
-		}
-	}
-	return out
+			return true
+		},
+		recordTrace: cfg.RecordTrace,
+		onPhase:     cfg.OnPhase,
+		stop:        cfg.Stop,
+	}.run(eval, initial, r)
 }
 
 func isTabu(changed []int, tabuUntil []int, phase int) bool {

@@ -6,12 +6,14 @@
 //
 // The package also carries the paper's stated future work ("we are
 // currently implementing full featured local search methods"): a
-// first-improvement hill climber, simulated annealing and tabu search, all
-// driving the same Movement implementations.
+// first-improvement hill climber, simulated annealing and tabu search.
+// All four drivers are acceptance rules on one walk engine (walk.go) and
+// drive the same Movement implementations.
 package localsearch
 
 import (
 	"fmt"
+	"math"
 
 	"meshplace/internal/geom"
 	"meshplace/internal/rng"
@@ -49,8 +51,8 @@ type DeltaMovement interface {
 // ProposeChanged generates a neighbor like Movement.Propose and reports the
 // changed router indices, ascending. Movements implementing DeltaMovement
 // report the set directly; for any other movement the set is recovered with
-// a full positions diff — the generalization of tabu's changedRouters
-// fallback — so every movement can drive the incremental evaluator.
+// a full positions diff, so every movement can drive the incremental
+// evaluator.
 func ProposeChanged(m Movement, in *wmn.Instance, sol, dst wmn.Solution, r *rng.Rand, buf []int) ([]int, bool) {
 	if dm, ok := m.(DeltaMovement); ok {
 		return dm.ProposeDelta(in, sol, dst, r, buf)
@@ -108,8 +110,8 @@ func (RandomMovement) ProposeDelta(in *wmn.Instance, sol wmn.Solution, dst wmn.S
 // the most powerful router of the sparse area, and exchange their
 // placements, "promoting the placement of best routers in most dense areas".
 //
-// Two generalizations documented in DESIGN.md §3 keep the movement
-// effective from arbitrary starting solutions:
+// Two generalizations keep the movement effective from arbitrary starting
+// solutions:
 //
 //  1. Dense/sparse candidate cells are drawn from the top-K/bottom-K of the
 //     density ranking instead of always the single extreme cell, so
@@ -217,7 +219,7 @@ func (s *SwapMovement) ProposeDelta(in *wmn.Instance, sol wmn.Solution, dst wmn.
 
 	// Step 4: least powerful router within the dense area — or a virtual
 	// slot, either because the dense area is empty or because the
-	// proposal drew a virtual-slot move (DESIGN.md §3).
+	// proposal drew a virtual-slot move (generalization 2 above).
 	worst := extremeRouter(in, d, sol, dense, false /* mostPowerful */)
 	if worst < 0 || worst == best || r.Float64() < s.VirtualSlotProb {
 		if worst < 0 && s.VirtualSlotProb <= 0 {
@@ -329,12 +331,14 @@ func NewMixedMovement(movements []Movement, weights []float64) (*MixedMovement, 
 	}
 	total := 0.0
 	for _, w := range weights {
-		if w < 0 {
-			return nil, fmt.Errorf("localsearch: negative movement weight %g", w)
+		// A NaN weight would make every draw fall through to the last
+		// movement; an infinite one would swamp the rest.
+		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+			return nil, fmt.Errorf("localsearch: movement weight %g is not a finite non-negative number", w)
 		}
 		total += w
 	}
-	if total <= 0 {
+	if total <= 0 || math.IsInf(total, 0) {
 		return nil, fmt.Errorf("localsearch: movement weights sum to %g", total)
 	}
 	return &MixedMovement{Movements: movements, Weights: weights}, nil

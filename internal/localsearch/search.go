@@ -104,70 +104,15 @@ func Search(eval *wmn.Evaluator, initial wmn.Solution, cfg Config, r *rng.Rand) 
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	if err := initial.Validate(eval.Instance()); err != nil {
-		return Result{}, fmt.Errorf("localsearch: initial solution: %w", err)
-	}
-
-	cur := initial.Clone()
-	inc, err := wmn.NewIncrementalEvaluator(eval, cur)
-	if err != nil {
-		return Result{}, fmt.Errorf("localsearch: %w", err)
-	}
-	curMetrics := inc.Metrics()
-	res := Result{Best: cur.Clone(), BestMetrics: curMetrics}
-
-	scratch := wmn.NewSolution(len(cur.Positions))
-	bestNeighbor := wmn.NewSolution(len(cur.Positions))
-	var changed, bestChanged []int
-
-	for phase := 1; phase <= cfg.MaxPhases; phase++ {
-		// Algorithm 2: examine a pre-fixed number of neighbors, keep the
-		// best one. Each neighbor is evaluated incrementally (apply the
-		// moved routers, read the metrics, revert), so a one-router move
-		// never pays for the full router graph.
-		found := false
-		var foundMetrics wmn.Metrics
-		for k := 0; k < cfg.NeighborsPerPhase; k++ {
-			var ok bool
-			changed, ok = ProposeChanged(cfg.Movement, eval.Instance(), cur, scratch, r, changed)
-			if !ok {
-				continue
-			}
-			m := inc.Apply(changed, scratch)
-			inc.Revert()
-			res.Evaluations++
-			if !found || m.Fitness > foundMetrics.Fitness {
-				found = true
-				foundMetrics = m
-				bestChanged = append(bestChanged[:0], changed...)
-				copy(bestNeighbor.Positions, scratch.Positions)
-			}
-		}
-
-		improved := found && foundMetrics.Fitness > curMetrics.Fitness
-		if improved {
-			inc.Apply(bestChanged, bestNeighbor)
-			copy(cur.Positions, bestNeighbor.Positions)
-			curMetrics = foundMetrics
-			if curMetrics.Fitness > res.BestMetrics.Fitness {
-				res.Best = cur.Clone()
-				res.BestMetrics = curMetrics
-			}
-		}
-		res.Phases = phase
-		rec := PhaseRecord{Phase: phase, Metrics: curMetrics, Accepted: improved, Proposed: found}
-		if cfg.RecordTrace {
-			res.Trace = append(res.Trace, rec)
-		}
-		if cfg.OnPhase != nil {
-			cfg.OnPhase(rec)
-		}
-		if cfg.Stop != nil && cfg.Stop(res.Evaluations, res.BestMetrics) {
-			break
-		}
-		if cfg.StopOnNoImprove && !improved {
-			break
-		}
-	}
-	return res, nil
+	return walk{
+		movement:    cfg.Movement,
+		steps:       cfg.MaxPhases,
+		neighbors:   cfg.NeighborsPerPhase,
+		every:       1,
+		accept:      improves,
+		endStep:     func(accepted bool) bool { return cfg.StopOnNoImprove && !accepted },
+		recordTrace: cfg.RecordTrace,
+		onPhase:     cfg.OnPhase,
+		stop:        cfg.Stop,
+	}.run(eval, initial, r)
 }

@@ -1,6 +1,7 @@
 package localsearch
 
 import (
+	"math"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -159,17 +160,25 @@ func TestSwapMovementVirtualSlotRelocatesOneRouter(t *testing.T) {
 }
 
 func TestMixedMovementValidation(t *testing.T) {
-	if _, err := NewMixedMovement(nil, nil); err == nil {
-		t.Error("empty mixture accepted")
-	}
-	if _, err := NewMixedMovement([]Movement{RandomMovement{}}, []float64{1, 2}); err == nil {
-		t.Error("mismatched lengths accepted")
-	}
-	if _, err := NewMixedMovement([]Movement{RandomMovement{}}, []float64{-1}); err == nil {
-		t.Error("negative weight accepted")
-	}
-	if _, err := NewMixedMovement([]Movement{RandomMovement{}}, []float64{0}); err == nil {
-		t.Error("zero-sum weights accepted")
+	one := []Movement{RandomMovement{}}
+	two := []Movement{RandomMovement{}, PerturbMovement{}}
+	for _, tt := range []struct {
+		name      string
+		movements []Movement
+		weights   []float64
+	}{
+		{"empty mixture", nil, nil},
+		{"mismatched lengths", one, []float64{1, 2}},
+		{"negative weight", one, []float64{-1}},
+		{"zero-sum weights", one, []float64{0}},
+		{"NaN weight", two, []float64{1, math.NaN()}},
+		{"+Inf weight", two, []float64{math.Inf(1), 1}},
+		{"-Inf weight", two, []float64{1, math.Inf(-1)}},
+		{"overflowing sum", two, []float64{math.MaxFloat64, math.MaxFloat64}},
+	} {
+		if _, err := NewMixedMovement(tt.movements, tt.weights); err == nil {
+			t.Errorf("%s accepted", tt.name)
+		}
 	}
 	mv, err := NewMixedMovement([]Movement{RandomMovement{}, PerturbMovement{}}, []float64{1, 1})
 	if err != nil {

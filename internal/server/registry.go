@@ -211,8 +211,40 @@ func initialSolution(spec Spec, eval *wmn.Evaluator, seed uint64) (wmn.Solution,
 	return p.Place(eval.Instance(), rng.DeriveString(seed, "solve/init"))
 }
 
-// The param sets shared by the search-style solvers.
-var initParam = BackendParam{Key: "init", Default: "Random", Doc: "ad hoc method producing the initial solution", Check: methodParam}
+// registerWalk registers one of the four local-search kinds, with movement
+// as the default of its movement param. The kinds share the movement and
+// init params, the initial solution, the "solve/<kind>" stream and the
+// result wrapping; each kind declares only its own params and how its spec
+// maps to the driver's config. The config is validated when the solver is
+// built, so cross-field errors (anneal's endtemp above starttemp) surface
+// there rather than at the first solve.
+func registerWalk[C interface{ Validate() error }](kind, doc, movement string, params []BackendParam,
+	drive func(*wmn.Evaluator, wmn.Solution, C, *rng.Rand) (localsearch.Result, error),
+	config func(spec Spec, mv localsearch.Movement, h BackendHooks) C) {
+	RegisterBackend(kind, BackendFactory{
+		Doc: doc,
+		Params: append([]BackendParam{
+			{Key: "movement", Default: movement, Doc: "neighborhood movement (swap, random, perturb)", Check: movementParam},
+			{Key: "init", Default: "Random", Doc: "ad hoc method producing the initial solution", Check: methodParam},
+		}, params...),
+		New: func(spec Spec) (BackendSolve, error) {
+			if err := config(spec, movementFor(spec.Param("movement")), BackendHooks{}).Validate(); err != nil {
+				return nil, err
+			}
+			return func(_ context.Context, eval *wmn.Evaluator, seed uint64, h BackendHooks) (BackendResult, error) {
+				initial, err := initialSolution(spec, eval, seed)
+				if err != nil {
+					return BackendResult{}, err
+				}
+				res, err := drive(eval, initial, config(spec, movementFor(spec.Param("movement")), h), rng.DeriveString(seed, "solve/"+kind))
+				if err != nil {
+					return BackendResult{}, err
+				}
+				return BackendResult{Solution: res.Best, Metrics: res.BestMetrics, Evaluations: res.Evaluations}, nil
+			}, nil
+		},
+	})
+}
 
 // The built-in kinds register through the same RegisterBackend seam as
 // out-of-tree plugins; one init keeps the listing order independent of
@@ -245,133 +277,60 @@ func init() {
 		},
 	})
 
-	RegisterBackend("search", BackendFactory{
-		Doc: "the neighborhood search of §4 (best neighbor per phase)",
-		Params: []BackendParam{
-			{Key: "movement", Default: "swap", Doc: "neighborhood movement (swap, random, perturb)", Check: movementParam},
-			initParam,
-			{Key: "phases", Default: "61", Doc: "maximum search phases", Check: intParam(1)},
-			{Key: "neighbors", Default: "16", Doc: "neighbors examined per phase", Check: intParam(1)},
-		},
-		New: func(spec Spec) (BackendSolve, error) {
-			return func(_ context.Context, eval *wmn.Evaluator, seed uint64, h BackendHooks) (BackendResult, error) {
-				initial, err := initialSolution(spec, eval, seed)
-				if err != nil {
-					return BackendResult{}, err
-				}
-				res, err := localsearch.Search(eval, initial, localsearch.Config{
-					Movement:          movementFor(spec.Param("movement")),
-					MaxPhases:         spec.specInt("phases"),
-					NeighborsPerPhase: spec.specInt("neighbors"),
-					OnPhase:           h.OnPhase,
-					Stop:              h.Stop,
-				}, rng.DeriveString(seed, "solve/search"))
-				if err != nil {
-					return BackendResult{}, err
-				}
-				return BackendResult{Solution: res.Best, Metrics: res.BestMetrics, Evaluations: res.Evaluations}, nil
-			}, nil
-		},
+	registerWalk("search", "the neighborhood search of §4 (best neighbor per phase)", "swap", []BackendParam{
+		{Key: "phases", Default: "61", Doc: "maximum search phases", Check: intParam(1)},
+		{Key: "neighbors", Default: "16", Doc: "neighbors examined per phase", Check: intParam(1)},
+	}, localsearch.Search, func(spec Spec, mv localsearch.Movement, h BackendHooks) localsearch.Config {
+		return localsearch.Config{
+			Movement:          mv,
+			MaxPhases:         spec.specInt("phases"),
+			NeighborsPerPhase: spec.specInt("neighbors"),
+			OnPhase:           h.OnPhase,
+			Stop:              h.Stop,
+		}
 	})
 
-	RegisterBackend("hillclimb", BackendFactory{
-		Doc: "first-improvement hill climbing (paper future work)",
-		Params: []BackendParam{
-			{Key: "movement", Default: "perturb", Doc: "neighborhood movement (swap, random, perturb)", Check: movementParam},
-			initParam,
-			{Key: "steps", Default: "2048", Doc: "maximum proposals", Check: intParam(1)},
-			{Key: "noimprove", Default: "256", Doc: "consecutive rejections before stopping", Check: intParam(1)},
-		},
-		New: func(spec Spec) (BackendSolve, error) {
-			return func(_ context.Context, eval *wmn.Evaluator, seed uint64, h BackendHooks) (BackendResult, error) {
-				initial, err := initialSolution(spec, eval, seed)
-				if err != nil {
-					return BackendResult{}, err
-				}
-				res, err := localsearch.HillClimb(eval, initial, localsearch.HillClimbConfig{
-					Movement:     movementFor(spec.Param("movement")),
-					MaxSteps:     spec.specInt("steps"),
-					MaxNoImprove: spec.specInt("noimprove"),
-					OnPhase:      h.OnPhase,
-					Stop:         h.Stop,
-				}, rng.DeriveString(seed, "solve/hillclimb"))
-				if err != nil {
-					return BackendResult{}, err
-				}
-				return BackendResult{Solution: res.Best, Metrics: res.BestMetrics, Evaluations: res.Evaluations}, nil
-			}, nil
-		},
+	registerWalk("hillclimb", "first-improvement hill climbing (paper future work)", "perturb", []BackendParam{
+		{Key: "steps", Default: "2048", Doc: "maximum proposals", Check: intParam(1)},
+		{Key: "noimprove", Default: "256", Doc: "consecutive rejections before stopping", Check: intParam(1)},
+	}, localsearch.HillClimb, func(spec Spec, mv localsearch.Movement, h BackendHooks) localsearch.HillClimbConfig {
+		return localsearch.HillClimbConfig{
+			Movement:     mv,
+			MaxSteps:     spec.specInt("steps"),
+			MaxNoImprove: spec.specInt("noimprove"),
+			OnPhase:      h.OnPhase,
+			Stop:         h.Stop,
+		}
 	})
 
-	RegisterBackend("anneal", BackendFactory{
-		Doc: "simulated annealing under a geometric cooling schedule (paper future work)",
-		Params: []BackendParam{
-			{Key: "movement", Default: "perturb", Doc: "neighborhood movement (swap, random, perturb)", Check: movementParam},
-			initParam,
-			{Key: "steps", Default: "4096", Doc: "total proposals", Check: intParam(1)},
-			{Key: "starttemp", Default: "0.05", Doc: "initial temperature (fitness units)", Check: floatParam},
-			{Key: "endtemp", Default: "0.0005", Doc: "final temperature (must not exceed starttemp)", Check: floatParam},
-		},
-		New: func(spec Spec) (BackendSolve, error) {
-			cfg := localsearch.AnnealConfig{
-				Steps:     spec.specInt("steps"),
-				StartTemp: spec.specFloat("starttemp"),
-				EndTemp:   spec.specFloat("endtemp"),
-			}
-			// Cross-field checks (endtemp ≤ starttemp) live in the config's
-			// Validate; surface them at build time, not first solve.
-			probe := cfg
-			probe.Movement = movementFor(spec.Param("movement"))
-			if err := probe.Validate(); err != nil {
-				return nil, err
-			}
-			return func(_ context.Context, eval *wmn.Evaluator, seed uint64, h BackendHooks) (BackendResult, error) {
-				initial, err := initialSolution(spec, eval, seed)
-				if err != nil {
-					return BackendResult{}, err
-				}
-				run := cfg
-				run.Movement = movementFor(spec.Param("movement"))
-				run.OnPhase = h.OnPhase
-				run.Stop = h.Stop
-				res, err := localsearch.Anneal(eval, initial, run, rng.DeriveString(seed, "solve/anneal"))
-				if err != nil {
-					return BackendResult{}, err
-				}
-				return BackendResult{Solution: res.Best, Metrics: res.BestMetrics, Evaluations: res.Evaluations}, nil
-			}, nil
-		},
+	registerWalk("anneal", "simulated annealing under a geometric cooling schedule (paper future work)", "perturb", []BackendParam{
+		{Key: "steps", Default: "4096", Doc: "total proposals", Check: intParam(1)},
+		{Key: "starttemp", Default: "0.05", Doc: "initial temperature (fitness units)", Check: floatParam},
+		{Key: "endtemp", Default: "0.0005", Doc: "final temperature (must not exceed starttemp)", Check: floatParam},
+	}, localsearch.Anneal, func(spec Spec, mv localsearch.Movement, h BackendHooks) localsearch.AnnealConfig {
+		return localsearch.AnnealConfig{
+			Movement:  mv,
+			Steps:     spec.specInt("steps"),
+			StartTemp: spec.specFloat("starttemp"),
+			EndTemp:   spec.specFloat("endtemp"),
+			OnPhase:   h.OnPhase,
+			Stop:      h.Stop,
+		}
 	})
 
-	RegisterBackend("tabu", BackendFactory{
-		Doc: "tabu search with aspiration (paper future work)",
-		Params: []BackendParam{
-			{Key: "movement", Default: "swap", Doc: "neighborhood movement (swap, random, perturb)", Check: movementParam},
-			initParam,
-			{Key: "phases", Default: "64", Doc: "maximum phases", Check: intParam(1)},
-			{Key: "neighbors", Default: "32", Doc: "neighbors examined per phase", Check: intParam(1)},
-			{Key: "tenure", Default: "8", Doc: "phases a changed router stays tabu", Check: intParam(1)},
-		},
-		New: func(spec Spec) (BackendSolve, error) {
-			return func(_ context.Context, eval *wmn.Evaluator, seed uint64, h BackendHooks) (BackendResult, error) {
-				initial, err := initialSolution(spec, eval, seed)
-				if err != nil {
-					return BackendResult{}, err
-				}
-				res, err := localsearch.Tabu(eval, initial, localsearch.TabuConfig{
-					Movement:          movementFor(spec.Param("movement")),
-					MaxPhases:         spec.specInt("phases"),
-					NeighborsPerPhase: spec.specInt("neighbors"),
-					Tenure:            spec.specInt("tenure"),
-					OnPhase:           h.OnPhase,
-					Stop:              h.Stop,
-				}, rng.DeriveString(seed, "solve/tabu"))
-				if err != nil {
-					return BackendResult{}, err
-				}
-				return BackendResult{Solution: res.Best, Metrics: res.BestMetrics, Evaluations: res.Evaluations}, nil
-			}, nil
-		},
+	registerWalk("tabu", "tabu search with aspiration (paper future work)", "swap", []BackendParam{
+		{Key: "phases", Default: "64", Doc: "maximum phases", Check: intParam(1)},
+		{Key: "neighbors", Default: "32", Doc: "neighbors examined per phase", Check: intParam(1)},
+		{Key: "tenure", Default: "8", Doc: "phases a changed router stays tabu", Check: intParam(1)},
+	}, localsearch.Tabu, func(spec Spec, mv localsearch.Movement, h BackendHooks) localsearch.TabuConfig {
+		return localsearch.TabuConfig{
+			Movement:          mv,
+			MaxPhases:         spec.specInt("phases"),
+			NeighborsPerPhase: spec.specInt("neighbors"),
+			Tenure:            spec.specInt("tenure"),
+			OnPhase:           h.OnPhase,
+			Stop:              h.Stop,
+		}
 	})
 
 	RegisterBackend("ga", BackendFactory{

@@ -33,9 +33,10 @@ func (pi PlacerInitializer) InitPopulation(in *wmn.Instance, popSize int, r *rng
 	if pi.Placer == nil {
 		return nil, fmt.Errorf("ga: placer initializer has no placer")
 	}
+	place := placement.Prepare(pi.Placer, in)
 	pop := make([]wmn.Solution, popSize)
 	for i := range pop {
-		sol, err := pi.Placer.Place(in, r)
+		sol, err := place(r)
 		if err != nil {
 			return nil, fmt.Errorf("ga: %v initializer, individual %d: %w", pi.Placer.Method(), i, err)
 		}

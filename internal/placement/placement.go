@@ -187,6 +187,22 @@ func New(m Method, opts Options) (Placer, error) {
 	}
 }
 
+// Prepare binds a placer to one instance for repeated placements: each
+// call of the returned function draws exactly what p.Place(in, r) would.
+// Set-up that reads only the instance — HotSpot's density grid, zone
+// ranking and router order — is done once here instead of per placement,
+// so drawing a GA population of HotSpot individuals does not rebuild the
+// grid for every individual. The instance must not change while the
+// function is in use.
+func Prepare(p Placer, in *wmn.Instance) func(r *rng.Rand) (wmn.Solution, error) {
+	if pp, ok := p.(interface {
+		prepare(*wmn.Instance) func(*rng.Rand) (wmn.Solution, error)
+	}); ok {
+		return pp.prepare(in)
+	}
+	return func(r *rng.Rand) (wmn.Solution, error) { return p.Place(in, r) }
+}
+
 // All constructs placers for all seven methods in the paper's order.
 func All(opts Options) ([]Placer, error) {
 	out := make([]Placer, 0, len(Methods()))
@@ -503,14 +519,22 @@ func (*hotSpotPlacer) Method() Method { return HotSpot }
 // initializer). Routers land at a uniform position inside their zone.
 // Off-pattern routers are uniform random.
 func (p *hotSpotPlacer) Place(in *wmn.Instance, r *rng.Rand) (wmn.Solution, error) {
-	if err := in.Validate(); err != nil {
-		return wmn.Solution{}, err
+	return p.prepare(in)(r)
+}
+
+// prepare ranks the instance's zones and orders its routers once; the
+// returned function makes the draws of one placement.
+func (p *hotSpotPlacer) prepare(in *wmn.Instance) func(*rng.Rand) (wmn.Solution, error) {
+	fail := func(err error) func(*rng.Rand) (wmn.Solution, error) {
+		return func(*rng.Rand) (wmn.Solution, error) { return wmn.Solution{}, err }
 	}
-	sol := wmn.NewSolution(in.NumRouters())
+	if err := in.Validate(); err != nil {
+		return fail(err)
+	}
 	area := in.Area()
 	density, err := wmn.NewDensityGrid(in, p.opts.HotSpotCell, p.opts.HotSpotCell)
 	if err != nil {
-		return wmn.Solution{}, err
+		return fail(err)
 	}
 	ranked := density.RankCells(1 /* clientWeight */, 0 /* routerWeight */)
 	// Keep the densest client-bearing zones, slightly fewer than the
@@ -526,10 +550,13 @@ func (p *hotSpotPlacer) Place(in *wmn.Instance, r *rng.Rand) (wmn.Solution, erro
 		}
 	}
 	if len(occupied) == 0 {
-		for i := range sol.Positions {
-			sol.Positions[i] = uniformIn(area, r)
+		return func(r *rng.Rand) (wmn.Solution, error) {
+			sol := wmn.NewSolution(in.NumRouters())
+			for i := range sol.Positions {
+				sol.Positions[i] = uniformIn(area, r)
+			}
+			return sol, nil
 		}
-		return sol, nil
 	}
 
 	// Routers ordered by decreasing power (radius); ties by index.
@@ -541,49 +568,53 @@ func (p *hotSpotPlacer) Place(in *wmn.Instance, r *rng.Rand) (wmn.Solution, erro
 		return in.Radii[byPower[a]] > in.Radii[byPower[b]]
 	})
 
-	// Zones are drawn without replacement, with probability proportional
-	// to client count: stronger routers tend to land in denser zones (the
-	// paper's rank-by-rank assignment in expectation), each zone hosts one
-	// router until all zones are used, and repeated placements differ —
-	// the population-diversity property that makes HotSpot the paper's
-	// best GA initializer. The most powerful router always anchors the
-	// most dense zone. When routers outnumber zones, the draw restarts
-	// with all zones available again. Unlike the geometric methods,
-	// HotSpot places every router in a zone — §3's description has no
-	// off-pattern clause ("and so on until all routers are placed").
-	// Squared counts sharpen the draw toward the heaviest zones, keeping
-	// the fleet concentrated even when the distribution's tail spreads the
-	// top zones over a wide region (Weibull especially).
-	weights := make([]int, len(occupied))
-	remaining := 0
-	resetWeights := func() {
-		remaining = 0
-		for i, cell := range occupied {
-			c := density.ClientCount(cell)
-			weights[i] = c * c
-			remaining += weights[i]
+	return func(r *rng.Rand) (wmn.Solution, error) {
+		sol := wmn.NewSolution(in.NumRouters())
+		// Zones are drawn without replacement, with probability
+		// proportional to client count: stronger routers tend to land in
+		// denser zones (the paper's rank-by-rank assignment in
+		// expectation), each zone hosts one router until all zones are
+		// used, and repeated placements differ — the population-diversity
+		// property that makes HotSpot the paper's best GA initializer. The
+		// most powerful router always anchors the most dense zone. When
+		// routers outnumber zones, the draw restarts with all zones
+		// available again. Unlike the geometric methods, HotSpot places
+		// every router in a zone — §3's description has no off-pattern
+		// clause ("and so on until all routers are placed"). Squared
+		// counts sharpen the draw toward the heaviest zones, keeping the
+		// fleet concentrated even when the distribution's tail spreads the
+		// top zones over a wide region (Weibull especially).
+		weights := make([]int, len(occupied))
+		remaining := 0
+		resetWeights := func() {
+			remaining = 0
+			for i, cell := range occupied {
+				c := density.ClientCount(cell)
+				weights[i] = c * c
+				remaining += weights[i]
+			}
 		}
-	}
-	resetWeights()
+		resetWeights()
 
-	for rank, idx := range byPower {
-		if remaining <= 0 {
-			resetWeights()
+		for rank, idx := range byPower {
+			if remaining <= 0 {
+				resetWeights()
+			}
+			var cell int
+			if rank == 0 {
+				cell = occupied[0]
+				remaining -= weights[0]
+				weights[0] = 0
+			} else {
+				k := sampleWeighted(weights, remaining, r)
+				cell = occupied[k]
+				remaining -= weights[k]
+				weights[k] = 0
+			}
+			sol.Positions[idx] = uniformIn(density.CellRect(cell), r)
 		}
-		var cell int
-		if rank == 0 {
-			cell = occupied[0]
-			remaining -= weights[0]
-			weights[0] = 0
-		} else {
-			k := sampleWeighted(weights, remaining, r)
-			cell = occupied[k]
-			remaining -= weights[k]
-			weights[k] = 0
-		}
-		sol.Positions[idx] = uniformIn(density.CellRect(cell), r)
+		return sol, nil
 	}
-	return sol, nil
 }
 
 // sampleWeighted draws an index with probability proportional to its weight;

@@ -370,6 +370,50 @@ func TestPlaceRejectsInvalidInstance(t *testing.T) {
 	}
 }
 
+func TestPrepareDrawsWhatPlaceDraws(t *testing.T) {
+	noClients := wmn.DefaultGenConfig()
+	noClients.NumClients = 0
+	empty, err := wmn.Generate(noClients)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range []*wmn.Instance{benchInstance(t), empty} {
+		for _, m := range Methods() {
+			p, err := New(m, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			place := Prepare(p, in)
+			direct, prepared := rng.New(9), rng.New(9)
+			for k := 0; k < 4; k++ {
+				want, err := p.Place(in, direct)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := place(prepared)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range want.Positions {
+					if got.Positions[i] != want.Positions[i] {
+						t.Fatalf("%v placement %d router %d: prepared %v, Place %v", m, k, i, got.Positions[i], want.Positions[i])
+					}
+				}
+			}
+			if direct.Uint64() != prepared.Uint64() {
+				t.Errorf("%v: prepared placements left the stream elsewhere than Place", m)
+			}
+		}
+	}
+	bad := &wmn.Instance{Width: 0, Height: 10, Radii: []float64{1}}
+	for _, m := range Methods() {
+		p, _ := New(m, Options{})
+		if _, err := Prepare(p, bad)(rng.New(1)); err == nil {
+			t.Errorf("%v: prepared placement accepted an invalid instance", m)
+		}
+	}
+}
+
 func TestPatternFractionZeroMeansFullPattern(t *testing.T) {
 	// The zero value of Options must select the default fraction, not 0.
 	in := benchInstance(t)

@@ -22,11 +22,13 @@ import (
 	"testing"
 
 	"meshplace"
+	"meshplace/internal/dist"
 	"meshplace/internal/experiments"
 	"meshplace/internal/ga"
 	"meshplace/internal/localsearch"
 	"meshplace/internal/placement"
 	"meshplace/internal/rng"
+	"meshplace/internal/scenarios"
 	"meshplace/internal/wmn"
 )
 
@@ -442,12 +444,19 @@ func BenchmarkSwapPropose(b *testing.B) {
 }
 
 // BenchmarkFamilySweep runs the HotSpot placement plus a short swap search
-// over every instance of the §5.1 benchmark family (three scales × four
-// distributions), reporting the mean giant fraction achieved — a scaling
-// check that the placement pipeline holds up beyond the paper's single
-// instance size.
+// over the corpus v1 instances of the four §5.1 distributions (uniform,
+// normal, exponential, weibull) at all three benchmark-family scales,
+// reporting the mean giant fraction achieved — a scaling check that the
+// placement pipeline holds up beyond the paper's single instance size.
 func BenchmarkFamilySweep(b *testing.B) {
-	instances, err := experiments.GenerateFamily(1)
+	var paper []scenarios.Scenario
+	for _, sc := range scenarios.Corpus(1) {
+		switch dist.Kind(sc.Layout) {
+		case dist.Uniform, dist.Normal, dist.Exponential, dist.Weibull:
+			paper = append(paper, sc)
+		}
+	}
+	instances, err := scenarios.GenerateScenarios(paper, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

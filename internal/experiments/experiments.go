@@ -47,13 +47,11 @@ type Config struct {
 	// per method and per repetition, so runs are reproducible and
 	// order-independent.
 	Seed uint64
-	// Parallel fans the independent (method × repetition) runs across a
-	// worker pool. Determinism is preserved because every run draws from
-	// its own derived stream and results are merged by run index, so
-	// output is byte-identical regardless of worker count.
-	Parallel bool
-	// Workers bounds the worker pool when Parallel is set. 0 selects one
-	// worker per available CPU (runtime.GOMAXPROCS).
+	// Workers bounds the pool that fans the independent (method ×
+	// repetition) runs out; 1 runs them serially and 0 selects one worker
+	// per available CPU. Every run draws from its own derived stream and
+	// results are merged by run index, so output is byte-identical at any
+	// worker count.
 	Workers int
 }
 
@@ -67,7 +65,6 @@ func Default() Config {
 		SearchNeighbors: 16,
 		Reps:            3,
 		Seed:            1,
-		Parallel:        true,
 	}
 }
 
@@ -125,20 +122,18 @@ func StudyIDs() []StudyID {
 }
 
 // DistributionFor returns the client distribution each study uses on the
-// 128×128 benchmark area. Table 1's caption fixes Normal(μ=64, σ=128/10);
-// the Exponential and Weibull parameters are not reported by the paper and
-// are calibrated to produce comparable hotspot layouts.
+// 128×128 benchmark area: the study's entry of FamilyDistributions(128).
+// Table 1's caption fixes Normal(μ=64, σ=128/10); the Exponential and
+// Weibull parameters are not reported by the paper and are calibrated to
+// produce comparable hotspot layouts.
 func DistributionFor(id StudyID) (dist.Spec, error) {
-	switch id {
-	case StudyNormal:
-		return dist.NormalSpec(64, 64, 12.8), nil
-	case StudyExponential:
-		return dist.ExponentialSpec(32), nil
-	case StudyWeibull:
-		return dist.WeibullSpec(1.8, 36), nil
-	default:
-		return dist.Spec{}, fmt.Errorf("experiments: unknown study %q", id)
+	// Uniform, the first entry, backs no study.
+	for _, spec := range FamilyDistributions(128)[1:] {
+		if StudyID(spec.Kind) == id {
+			return spec, nil
+		}
 	}
+	return dist.Spec{}, fmt.Errorf("experiments: unknown study %q", id)
 }
 
 // MethodResult holds everything measured for one ad hoc method within a
@@ -233,7 +228,7 @@ func RunStudies(ids []StudyID, cfg Config) ([]*Study, error) {
 		ga    ga.Result
 	}
 	runs := make([]methodRun, total)
-	err := ForEachIndexed(total, cfg.workerCount(), func(t int) error {
+	err := ForEachIndexed(total, cfg.Workers, func(t int) error {
 		si := len(preps) - 1
 		for preps[si].offset > t {
 			si--
@@ -344,7 +339,7 @@ func RunSearchComparison(cfg Config) (*SearchComparison, error) {
 	// and derives its own rng stream — so the pool can fan them out and
 	// the merge below reads them back by run index.
 	runs := make([]localsearch.Result, len(movements)*reps)
-	err = ForEachIndexed(len(runs), cfg.workerCount(), func(t int) error {
+	err = ForEachIndexed(len(runs), cfg.Workers, func(t int) error {
 		mi, rep := t/reps, t%reps
 		mv := movements[mi]()
 		res, err := localsearch.Search(eval, initial, localsearch.Config{

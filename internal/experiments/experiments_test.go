@@ -2,24 +2,40 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
+	"meshplace/internal/dist"
+	"meshplace/internal/ga"
 	"meshplace/internal/placement"
+	"meshplace/internal/wmn"
 )
 
 func TestDistributionFor(t *testing.T) {
+	// The studies' checked-in results pin these exact parameters.
+	want := map[StudyID]dist.Spec{
+		StudyNormal:      dist.NormalSpec(64, 64, 12.8),
+		StudyExponential: dist.ExponentialSpec(32),
+		StudyWeibull:     dist.WeibullSpec(1.8, 36),
+	}
 	for _, id := range StudyIDs() {
 		spec, err := DistributionFor(id)
 		if err != nil {
 			t.Fatalf("DistributionFor(%s): %v", id, err)
 		}
+		if spec != want[id] {
+			t.Errorf("DistributionFor(%s) = %v, want %v", id, spec, want[id])
+		}
 		if _, err := spec.Build(quickStudy(t).Instance.Area()); err != nil {
 			t.Fatalf("spec %v does not build: %v", spec, err)
 		}
 	}
-	if _, err := DistributionFor("pareto"); err == nil {
-		t.Error("unknown study accepted")
+	for _, id := range []StudyID{"pareto", "uniform"} {
+		if _, err := DistributionFor(id); err == nil {
+			t.Errorf("unknown study %q accepted", id)
+		}
 	}
 }
 
@@ -138,12 +154,12 @@ func TestRunStudyQuickShapes(t *testing.T) {
 func TestRunStudyParallelMatchesSequential(t *testing.T) {
 	cfg := Quick()
 	cfg.GA.Generations = 15
-	cfg.Parallel = false
+	cfg.Workers = 1
 	seq, err := RunStudy(StudyExponential, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Parallel = true
+	cfg.Workers = 8
 	par, err := RunStudy(StudyExponential, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -323,5 +339,60 @@ func TestCheckShapeDetectsViolations(t *testing.T) {
 	}
 	if v := s.CheckTableShape(); len(v) == 0 {
 		t.Error("corrupted study passed the table shape check")
+	}
+}
+
+// TestShapeViolationsFollowResultsOrder pins the order of the shape
+// checks' violation lists: several claims fail at once on this study, and
+// every call must list them identically, in s.Results order, so the
+// printed SHAPE VIOLATION lines never depend on map iteration.
+func TestShapeViolationsFollowResultsOrder(t *testing.T) {
+	s := &Study{ID: StudyWeibull, Instance: &wmn.Instance{Radii: make([]float64, 64)}}
+	for i, m := range placement.Methods() {
+		giant := 10 + i
+		switch m {
+		case placement.HotSpot:
+			giant = 5 // every other method beats it
+		case placement.Corners:
+			giant = 30 // every other method falls below it
+		}
+		s.Results = append(s.Results, MethodResult{
+			Method:    m,
+			GABest:    wmn.Metrics{GiantSize: giant},
+			GAHistory: []ga.GenRecord{{BestGiant: giant}},
+		})
+	}
+	var wantFigure []string
+	for _, res := range s.Results {
+		if res.Method != placement.HotSpot {
+			wantFigure = append(wantFigure, fmt.Sprintf("figure: HotSpot final giant 5 below %s's %d", res.Method, res.GABest.GiantSize))
+		}
+	}
+	table := s.CheckTableShape()
+	if len(table) < 2 {
+		t.Fatalf("want several table violations, got %q", table)
+	}
+	for call := 0; call < 50; call++ {
+		if got := s.CheckTableShape(); !reflect.DeepEqual(got, table) {
+			t.Fatalf("call %d: table violations %q, first call gave %q", call, got, table)
+		}
+		if got := s.CheckFigureShape(); !reflect.DeepEqual(got, wantFigure) {
+			t.Fatalf("call %d: figure violations %q, want %q", call, got, wantFigure)
+		}
+	}
+	var notBest []string
+	for _, v := range table {
+		if strings.HasPrefix(v, "HotSpot not best") {
+			notBest = append(notBest, v)
+		}
+	}
+	var wantNotBest []string
+	for _, res := range s.Results {
+		if res.Method != placement.HotSpot {
+			wantNotBest = append(wantNotBest, fmt.Sprintf("HotSpot not best GA initializer: %s reached %d > 5", res.Method, res.GABest.GiantSize))
+		}
+	}
+	if !reflect.DeepEqual(notBest, wantNotBest) {
+		t.Errorf("HotSpot violations %q, want %q", notBest, wantNotBest)
 	}
 }

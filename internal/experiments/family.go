@@ -1,17 +1,14 @@
 package experiments
 
-import (
-	"fmt"
-
-	"meshplace/internal/dist"
-	"meshplace/internal/wmn"
-)
+import "meshplace/internal/dist"
 
 // The paper evaluates "through a benchmark of generated instances" (§5.1).
-// BenchmarkFamily is that benchmark as a reusable artifact: the paper-scale
-// instance plus half- and double-scale variants, across all four client
+// This file defines that benchmark's two axes once: the paper-scale
+// instance plus half- and double-scale variants, and the four client
 // distributions of §5.1 (Uniform is generated in the paper's setup even
-// though the reported tables cover Normal, Exponential and Weibull).
+// though the reported tables cover Normal, Exponential and Weibull). The
+// scenario corpus (internal/scenarios) is the generated benchmark; the
+// studies draw their distributions from here too (DistributionFor).
 
 // FamilyScale names one instance size of the benchmark family.
 type FamilyScale struct {
@@ -37,8 +34,8 @@ func FamilyScales() []FamilyScale {
 
 // FamilyDistributions returns the four §5.1 distributions scaled to an
 // area of the given side (the base parameters are defined on side 128), in
-// the paper's kind order. The scenario corpus derives its paper layouts
-// from here, so family and corpus can never silently diverge.
+// the paper's kind order. The scenario corpus and DistributionFor both
+// derive from here, so corpus and studies can never silently diverge.
 func FamilyDistributions(side float64) []dist.Spec {
 	f := side / 128
 	return []dist.Spec{
@@ -47,42 +44,4 @@ func FamilyDistributions(side float64) []dist.Spec {
 		dist.ExponentialSpec(32 * f),
 		dist.WeibullSpec(1.8, 36*f),
 	}
-}
-
-// BenchmarkFamily returns the generation configs of the full benchmark:
-// three scales × four distributions, all deriving their randomness from the
-// given seed. Instance names follow "family-<scale>-<distribution>".
-func BenchmarkFamily(seed uint64) []wmn.GenConfig {
-	var out []wmn.GenConfig
-	base := wmn.DefaultGenConfig()
-	for _, scale := range FamilyScales() {
-		for _, spec := range FamilyDistributions(scale.Side) {
-			out = append(out, wmn.GenConfig{
-				Name:       fmt.Sprintf("family-%s-%s", scale.Label, spec.Kind),
-				Width:      scale.Side,
-				Height:     scale.Side,
-				NumRouters: scale.NumRouters,
-				NumClients: scale.NumClients,
-				RadiusMin:  base.RadiusMin,
-				RadiusMax:  base.RadiusMax,
-				ClientDist: spec,
-				Seed:       seed,
-			})
-		}
-	}
-	return out
-}
-
-// GenerateFamily generates every instance of the benchmark family.
-func GenerateFamily(seed uint64) ([]*wmn.Instance, error) {
-	configs := BenchmarkFamily(seed)
-	out := make([]*wmn.Instance, 0, len(configs))
-	for _, cfg := range configs {
-		in, err := wmn.Generate(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: family %s: %w", cfg.Name, err)
-		}
-		out = append(out, in)
-	}
-	return out, nil
 }

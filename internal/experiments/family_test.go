@@ -1,79 +1,21 @@
 package experiments
 
-import (
-	"strings"
-	"testing"
-
-	"meshplace/internal/dist"
-)
-
-func TestBenchmarkFamilyShape(t *testing.T) {
-	configs := BenchmarkFamily(1)
-	if len(configs) != 12 { // 3 scales × 4 distributions
-		t.Fatalf("family has %d configs, want 12", len(configs))
-	}
-	names := make(map[string]bool, len(configs))
-	kinds := make(map[dist.Kind]int)
-	for _, cfg := range configs {
-		if err := cfg.Validate(); err != nil {
-			t.Errorf("%s: %v", cfg.Name, err)
-		}
-		if names[cfg.Name] {
-			t.Errorf("duplicate family name %q", cfg.Name)
-		}
-		names[cfg.Name] = true
-		kinds[cfg.ClientDist.Kind]++
-		if !strings.HasPrefix(cfg.Name, "family-") {
-			t.Errorf("unexpected name %q", cfg.Name)
-		}
-	}
-	for _, k := range []dist.Kind{dist.Uniform, dist.Normal, dist.Exponential, dist.Weibull} {
-		if kinds[k] != 3 {
-			t.Errorf("distribution %v appears %d times, want 3", k, kinds[k])
-		}
-	}
-}
+import "testing"
 
 func TestBenchmarkFamilyDensityPreserved(t *testing.T) {
 	// Router density (N/area) must be constant across scales so the
 	// topology regime carries over.
-	configs := BenchmarkFamily(1)
 	base := -1.0
-	for _, cfg := range configs {
-		density := float64(cfg.NumRouters) / (cfg.Width * cfg.Height)
+	for _, scale := range FamilyScales() {
+		density := float64(scale.NumRouters) / (scale.Side * scale.Side)
 		if base < 0 {
 			base = density
 		}
 		if density < base*0.9 || density > base*1.1 {
-			t.Errorf("%s: router density %.5f deviates from %.5f", cfg.Name, density, base)
+			t.Errorf("%s: router density %.5f deviates from %.5f", scale.Label, density, base)
 		}
-		if cfg.NumClients != 3*cfg.NumRouters {
-			t.Errorf("%s: client/router ratio %d/%d, want 3:1", cfg.Name, cfg.NumClients, cfg.NumRouters)
-		}
-	}
-}
-
-func TestGenerateFamily(t *testing.T) {
-	instances, err := GenerateFamily(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(instances) != 12 {
-		t.Fatalf("%d instances", len(instances))
-	}
-	for _, in := range instances {
-		if err := in.Validate(); err != nil {
-			t.Errorf("%s: %v", in.Name, err)
-		}
-	}
-	// Same seed regenerates identical instances.
-	again, err := GenerateFamily(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range instances {
-		if instances[i].Clients[0] != again[i].Clients[0] {
-			t.Errorf("%s: family generation not deterministic", instances[i].Name)
+		if scale.NumClients != 3*scale.NumRouters {
+			t.Errorf("%s: client/router ratio %d/%d, want 3:1", scale.Label, scale.NumClients, scale.NumRouters)
 		}
 	}
 }

@@ -1,23 +1,9 @@
 package experiments
 
 import (
-	"errors"
 	"runtime"
 	"sync"
 )
-
-// workerCount resolves the number of concurrent workers the config allows:
-// one when Parallel is off, Workers when set, and one per available CPU
-// otherwise.
-func (c Config) workerCount() int {
-	if !c.Parallel {
-		return 1
-	}
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // Pool is a bounded worker pool: a fixed number of goroutines draining an
 // unbounded FIFO task queue. It backs every fan-out in this package via
@@ -103,11 +89,20 @@ func (p *Pool) Close() {
 }
 
 // ForEachIndexed runs fn(i) for every i in [0, n), fanning the calls
-// across a Pool of at most workers goroutines. Each fn writes its result
-// into slot i of caller-owned storage, so merged output is independent of
-// scheduling; on failure the error with the lowest index is returned,
-// making failures as deterministic as successes regardless of worker count.
+// across a fresh Pool of at most workers goroutines; workers <= 0 selects
+// one per available CPU, the same rule as NewPool. Each fn writes its
+// result into slot i of caller-owned storage, so merged output is
+// independent of scheduling; on failure the error with the lowest index is
+// returned, making failures as deterministic as successes regardless of
+// worker count.
+//
+// Every call gets its own pool, so a fan-out may run inside a task of
+// another pool. Riding a shared pool instead would block the calling
+// worker until its units finish, which deadlocks at one worker.
 func ForEachIndexed(n, workers int, fn func(i int) error) error {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	if workers > n {
 		workers = n
 	}
@@ -121,33 +116,11 @@ func ForEachIndexed(n, workers int, fn func(i int) error) error {
 	}
 
 	p := NewPool(workers)
-	defer p.Close()
-	return ForEachIndexedOn(p, n, fn)
-}
-
-// ForEachIndexedOn is ForEachIndexed riding an existing pool instead of a
-// fresh one, for long-lived consumers (the placement server, the scenario
-// suite) that share one process-wide pool. It waits only for its own n
-// tasks — not for unrelated work submitted to the pool concurrently — and
-// keeps the lowest-index error rule, so output is byte-identical at any
-// worker count. A closed pool fails every remaining index.
-//
-// It must not be called from a task already running on the same pool: the
-// call blocks its worker until the submitted units finish, so nested use
-// shrinks the effective worker count and deadlocks outright at one worker
-// (the blocked worker is the only one that could drain the units). Nest
-// fan-outs by giving the inner one its own pool (ForEachIndexed).
-func ForEachIndexedOn(p *Pool, n int, fn func(i int) error) error {
 	errs := make([]error, n)
-	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		wg.Add(1)
-		if !p.Submit(func() { defer wg.Done(); errs[i] = fn(i) }) {
-			errs[i] = errPoolClosed
-			wg.Done()
-		}
+		p.Submit(func() { errs[i] = fn(i) })
 	}
-	wg.Wait()
+	p.Close() // runs the whole queue before returning
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -155,6 +128,3 @@ func ForEachIndexedOn(p *Pool, n int, fn func(i int) error) error {
 	}
 	return nil
 }
-
-// errPoolClosed reports a task submitted after Close.
-var errPoolClosed = errors.New("experiments: pool closed")

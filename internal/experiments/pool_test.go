@@ -11,7 +11,7 @@ import (
 )
 
 func TestForEachIndexedFillsAllSlots(t *testing.T) {
-	for _, workers := range []int{1, 3, 16} {
+	for _, workers := range []int{0, 1, 3, 16} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			const n = 100
 			out := make([]int, n)
@@ -46,51 +46,6 @@ func TestForEachIndexedReturnsLowestIndexError(t *testing.T) {
 	}
 }
 
-func TestForEachIndexedOnSharedPool(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	const n = 60
-	// Two interleaved fan-outs on one pool: each must wait only for its
-	// own tasks and fill exactly its own slots.
-	outA := make([]int, n)
-	outB := make([]int, n)
-	done := make(chan error, 1)
-	go func() {
-		done <- ForEachIndexedOn(p, n, func(i int) error { outB[i] = i + 1; return nil })
-	}()
-	if err := ForEachIndexedOn(p, n, func(i int) error { outA[i] = i * 2; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if outA[i] != i*2 || outB[i] != i+1 {
-			t.Fatalf("slot %d = (%d, %d), want (%d, %d)", i, outA[i], outB[i], i*2, i+1)
-		}
-	}
-
-	// Lowest-index error rule carries over.
-	err := ForEachIndexedOn(p, 20, func(i int) error {
-		if i == 3 || i == 17 {
-			return fmt.Errorf("task %d failed", i)
-		}
-		return nil
-	})
-	if err == nil || err.Error() != "task 3 failed" {
-		t.Errorf("err = %v, want the index-3 error", err)
-	}
-}
-
-func TestForEachIndexedOnClosedPool(t *testing.T) {
-	p := NewPool(2)
-	p.Close()
-	err := ForEachIndexedOn(p, 4, func(int) error { return nil })
-	if err == nil {
-		t.Fatal("closed pool accepted work")
-	}
-}
-
 func TestForEachIndexedEdgeCases(t *testing.T) {
 	if err := ForEachIndexed(0, 4, func(int) error { return errors.New("never") }); err != nil {
 		t.Errorf("n=0: %v", err)
@@ -102,18 +57,6 @@ func TestForEachIndexedEdgeCases(t *testing.T) {
 	}
 	if !out[0] || !out[1] {
 		t.Errorf("tasks skipped: %v", out)
-	}
-}
-
-func TestWorkerCount(t *testing.T) {
-	if got := (Config{Parallel: false, Workers: 8}).workerCount(); got != 1 {
-		t.Errorf("sequential config resolves %d workers, want 1", got)
-	}
-	if got := (Config{Parallel: true, Workers: 5}).workerCount(); got != 5 {
-		t.Errorf("explicit Workers resolves %d, want 5", got)
-	}
-	if got := (Config{Parallel: true}).workerCount(); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("default resolves %d workers, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
 	}
 }
 
@@ -133,7 +76,6 @@ func workersInvariantConfig(workers int) Config {
 	cfg.GA.RecordEvery = 2
 	cfg.SearchPhases = 8
 	cfg.Reps = 2
-	cfg.Parallel = true
 	cfg.Workers = workers
 	return cfg
 }
@@ -205,7 +147,6 @@ func BenchmarkRunStudy(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			cfg := Quick()
 			cfg.Reps = 3
-			cfg.Parallel = true
 			cfg.Workers = workers
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -44,10 +44,10 @@ func (s *Study) CheckTableShape() []string {
 		}
 	}
 
-	for m, giant := range gaGiant {
-		if giant > gaGiant[placement.HotSpot] {
+	for _, res := range s.Results {
+		if giant := gaGiant[res.Method]; giant > gaGiant[placement.HotSpot] {
 			violations = append(violations, fmt.Sprintf(
-				"HotSpot not best GA initializer: %s reached %d > %d", m, giant, gaGiant[placement.HotSpot]))
+				"HotSpot not best GA initializer: %s reached %d > %d", res.Method, giant, gaGiant[placement.HotSpot]))
 		}
 	}
 
@@ -79,11 +79,11 @@ func (s *Study) CheckTableShape() []string {
 		violations = append(violations, s.checkBottomTier(gaGiant, placement.Corners)...)
 		violations = append(violations, s.checkBottomTier(gaGiant, placement.Random)...)
 	case StudyWeibull:
-		for m, giant := range gaGiant {
-			if giant < gaGiant[placement.Corners] {
+		for _, res := range s.Results {
+			if giant := gaGiant[res.Method]; giant < gaGiant[placement.Corners] {
 				violations = append(violations, fmt.Sprintf(
 					"weibull: Corners (GA giant %d) should be worst but %s reached %d",
-					gaGiant[placement.Corners], m, giant))
+					gaGiant[placement.Corners], res.Method, giant))
 			}
 		}
 	}
@@ -126,10 +126,10 @@ func (s *Study) CheckFigureShape() []string {
 			finals[res.Method] = res.GAHistory[len(res.GAHistory)-1].BestGiant
 		}
 	}
-	for m, giant := range finals {
-		if giant > finals[placement.HotSpot] {
+	for _, res := range s.Results {
+		if giant, ok := finals[res.Method]; ok && giant > finals[placement.HotSpot] {
 			violations = append(violations, fmt.Sprintf(
-				"figure: HotSpot final giant %d below %s's %d", finals[placement.HotSpot], m, giant))
+				"figure: HotSpot final giant %d below %s's %d", finals[placement.HotSpot], res.Method, giant))
 		}
 	}
 	return violations

@@ -58,6 +58,9 @@ func DefaultPolicy() *Policy {
 			// drift-gated: a wall-clock byte anywhere would fail every
 			// subsequent `make paper-check`.
 			"internal/report",
+			// The paper studies print tables, figures and shape verdicts
+			// that must be byte-identical at any worker count.
+			"internal/experiments",
 		},
 		DeterministicOnly: map[string]bool{
 			// Map iteration order and multi-ready selects only corrupt

@@ -2,8 +2,8 @@
 // corpus of placement scenarios spanning every client layout of
 // internal/dist — the paper's four distributions plus the extended
 // hotspots, ring and trace layouts — across the three benchmark-family
-// scales, and a suite runner that sweeps solvers over the corpus on the
-// shared experiments worker pool.
+// scales, and a suite runner that fans solvers over the corpus with
+// experiments.ForEachIndexed.
 //
 // The corpus is a reproducibility artifact: GenerateCorpus(seed, workers)
 // yields byte-identical instances at any worker count, and the per-version
@@ -15,7 +15,6 @@ package scenarios
 
 import (
 	"fmt"
-	"runtime"
 
 	"meshplace/internal/dist"
 	"meshplace/internal/experiments"
@@ -183,10 +182,10 @@ func Filter(scs []Scenario, scales ...string) []Scenario {
 }
 
 // GenerateCorpus generates every instance of the corpus, fanning the work
-// across at most workers goroutines (0 = one per CPU, matching
-// experiments.Config). Output order follows Corpus order and each instance
-// derives only from its own scenario seed, so the result is byte-identical
-// at any worker count.
+// across at most workers goroutines (0 = one per CPU, the
+// experiments.ForEachIndexed rule). Output order follows Corpus order and
+// each instance derives only from its own scenario seed, so the result is
+// byte-identical at any worker count.
 func GenerateCorpus(seed uint64, workers int) ([]*wmn.Instance, error) {
 	return GenerateScenarios(Corpus(seed), workers)
 }
@@ -194,9 +193,6 @@ func GenerateCorpus(seed uint64, workers int) ([]*wmn.Instance, error) {
 // GenerateScenarios generates the instances of an explicit scenario list
 // (e.g. a Filter selection), preserving order.
 func GenerateScenarios(scs []Scenario, workers int) ([]*wmn.Instance, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	out := make([]*wmn.Instance, len(scs))
 	err := experiments.ForEachIndexed(len(scs), workers, func(i int) error {
 		in, err := wmn.Generate(scs[i].Gen)

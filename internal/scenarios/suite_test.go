@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"meshplace/internal/experiments"
 	"meshplace/internal/scenarios"
 	"meshplace/internal/server"
 	"meshplace/internal/wmn"
@@ -90,18 +89,6 @@ func TestSuiteInjectedClock(t *testing.T) {
 	wall := runQuickSuite(t, scenarios.SuiteConfig{Seed: 7, Workers: 2})
 	if got, want := frozen.Fingerprint(), wall.Fingerprint(); got != want {
 		t.Fatalf("frozen-clock fingerprint %s differs from wall-clock %s", got, want)
-	}
-}
-
-// TestSuiteOnSharedPool runs the suite on an external pool (the serving
-// topology) and checks the report matches the stand-alone run exactly.
-func TestSuiteOnSharedPool(t *testing.T) {
-	pool := experiments.NewPool(4)
-	defer pool.Close()
-	onPool := runQuickSuite(t, scenarios.SuiteConfig{Seed: 7, Pool: pool})
-	standalone := runQuickSuite(t, scenarios.SuiteConfig{Seed: 7, Workers: 2})
-	if got, want := onPool.Fingerprint(), standalone.Fingerprint(); got != want {
-		t.Fatalf("shared-pool fingerprint %s differs from stand-alone %s", got, want)
 	}
 }
 

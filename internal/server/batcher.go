@@ -119,7 +119,7 @@ var errBatcherClosed = errors.New("server: batcher closed")
 // The batcher runs batches on its own pool, not the async job pool: async
 // jobs block a job worker while waiting on a computation, so sharing one
 // pool would deadlock at low worker counts (the nesting hazard documented
-// on experiments.ForEachIndexedOn).
+// on experiments.ForEachIndexed).
 type batcher struct {
 	batchSize int
 	maxWait   time.Duration

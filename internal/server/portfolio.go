@@ -3,12 +3,12 @@ package server
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 
 	"meshplace/internal/experiments"
+	"meshplace/internal/ga"
 	"meshplace/internal/localsearch"
 	"meshplace/internal/rng"
 	"meshplace/internal/wmn"
@@ -110,11 +110,15 @@ func portfolioFactory() BackendFactory {
 	}
 }
 
-// portfolioFan runs n member drives, possibly concurrently. Injected so
-// tests can pin the worker count; the registry build fans on a fresh
-// bounded pool (nesting on the process-wide pool would deadlock at one
-// worker, and results are byte-identical at any width regardless).
-type portfolioFan func(n int, fn func(i int) error) error
+// innerFan fans the units inside one solve (GA islands, portfolio member
+// drives) across one worker per CPU. Solves already run on a task of the
+// job or batch pool, so each inner fan-out gets a fresh pool of its own
+// (experiments.ForEachIndexed): riding the outer pool would block its
+// worker on the inner units and deadlock at one worker. Results are
+// byte-identical at any width.
+var innerFan ga.FanOut = func(n int, fn func(i int) error) error {
+	return experiments.ForEachIndexed(n, 0, fn)
+}
 
 func buildPortfolio(spec Spec) (BackendSolve, error) {
 	specs := portfolioMemberSpecs(spec)
@@ -127,11 +131,8 @@ func buildPortfolio(spec Spec) (BackendSolve, error) {
 		runs[i] = run
 	}
 	budget, slices := spec.specInt("budget"), spec.specInt("slices")
-	fan := func(n int, fn func(i int) error) error {
-		return experiments.ForEachIndexed(n, runtime.GOMAXPROCS(0), fn)
-	}
 	return func(ctx context.Context, eval *wmn.Evaluator, seed uint64, h BackendHooks) (BackendResult, error) {
-		return runPortfolio(ctx, eval, seed, h, specs, runs, budget, slices, fan)
+		return runPortfolio(ctx, eval, seed, h, specs, runs, budget, slices, innerFan)
 	}, nil
 }
 
@@ -286,7 +287,7 @@ func pfShares(members []*pfMember, alive []int, give int, firstSlice bool) map[i
 // wrapper) is consulted only at barriers, so truncation lands on slice
 // boundaries. The first slice always runs, guaranteeing an incumbent and a
 // non-empty anytime curve even under an already-expired deadline.
-func runPortfolio(ctx context.Context, eval *wmn.Evaluator, seed uint64, h BackendHooks, specs []Spec, runs []BackendSolve, budget, slices int, fan portfolioFan) (BackendResult, error) {
+func runPortfolio(ctx context.Context, eval *wmn.Evaluator, seed uint64, h BackendHooks, specs []Spec, runs []BackendSolve, budget, slices int, fan ga.FanOut) (BackendResult, error) {
 	members := make([]*pfMember, len(specs))
 	for i := range specs {
 		members[i] = &pfMember{

@@ -3,10 +3,8 @@ package server
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strings"
 
-	"meshplace/internal/experiments"
 	"meshplace/internal/ga"
 	"meshplace/internal/localsearch"
 	"meshplace/internal/placement"
@@ -370,14 +368,7 @@ func init() {
 					MigrateEvery: spec.specInt("migrateevery"),
 					Migrants:     spec.specInt("migrants"),
 					Topology:     topology,
-					// Async jobs already run on the process-wide pool;
-					// nesting the island fan-out on the same pool would
-					// deadlock at one worker (see ForEachIndexedOn), so the
-					// islands ride their own bounded inner pool. The result
-					// is byte-identical at any worker count either way.
-					FanOut: func(n int, fn func(i int) error) error {
-						return experiments.ForEachIndexed(n, runtime.GOMAXPROCS(0), fn)
-					},
+					FanOut:       innerFan,
 				}
 				// Cross-parameter constraints (inbound migrants must not
 				// wipe an island) surface at build time, not first solve.

@@ -15,8 +15,8 @@ type (
 	Scenario = scenarios.Scenario
 	// ScenarioInfo is the catalog view of one scenario (GET /v1/scenarios).
 	ScenarioInfo = scenarios.Info
-	// SuiteConfig parameterizes RunScenarioSuite (seed, workers, shared
-	// pool, evaluation options).
+	// SuiteConfig parameterizes RunScenarioSuite (seed, workers,
+	// evaluation options, runtime clock).
 	SuiteConfig = scenarios.SuiteConfig
 	// SuiteReport is a suite run's result grid; Fingerprint() pins its
 	// deterministic columns and Render() prints the table.

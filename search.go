@@ -1,8 +1,6 @@
 package meshplace
 
 import (
-	"runtime"
-
 	"meshplace/internal/experiments"
 	"meshplace/internal/ga"
 	"meshplace/internal/localsearch"
@@ -136,9 +134,6 @@ func ParseGATopology(name string) (GATopology, error) { return ga.ParseTopology(
 // concurrent subsystem of the library shares. Island results are
 // byte-identical at any worker count.
 func IslandFanOut(workers int) GAFanOut {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	return func(n int, fn func(i int) error) error {
 		return experiments.ForEachIndexed(n, workers, fn)
 	}
@@ -195,15 +190,4 @@ func RunStudy(id StudyID, cfg ExperimentConfig) (*Study, error) {
 // movement neighborhood search).
 func RunSearchComparison(cfg ExperimentConfig) (*SearchComparison, error) {
 	return experiments.RunSearchComparison(cfg)
-}
-
-// BenchmarkFamily returns the generation configs of the §5.1 benchmark of
-// generated instances: three scales × the four client distributions.
-func BenchmarkFamily(seed uint64) []GenConfig {
-	return experiments.BenchmarkFamily(seed)
-}
-
-// GenerateFamily generates every instance of the benchmark family.
-func GenerateFamily(seed uint64) ([]*Instance, error) {
-	return experiments.GenerateFamily(seed)
 }
